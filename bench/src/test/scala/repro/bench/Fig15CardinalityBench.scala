@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{QueryExp, TableFmt}
+import repro.exp.{Figure, QueryExp}
 
 /** Figure 15 of the paper (OSM): block accesses of all curves while
   * varying the dataset cardinality N. Paper claims: costs grow with N for
@@ -10,14 +10,9 @@ import repro.exp.{QueryExp, TableFmt}
 class Fig15CardinalityBench extends AnyFunSuite {
 
   test("Fig 15: block accesses vs dataset cardinality") {
-    val ns = Seq(10_000, 100_000, 1_000_000)
-    val results = QueryExp.varyCardinality(ns)
+    val Figure(results, table) = QueryExp.varyCardinality()
+    println(table)
     val names = results.head._3.map(_._1)
-    val rows = results.map { case (n, _, scores) =>
-      n.toString +: scores.map { case (_, ba) => f"$ba%.1f" }
-    }
-    println(TableFmt.render("Fig 15: avg block accesses vs N (OSM-like)",
-      "N" +: names, rows))
 
     // Block accesses grow with N for every curve.
     for (name <- names) {

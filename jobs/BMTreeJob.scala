@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{BMTreeExp, TableFmt}
+import repro.exp.BMTreeExp
 
 /** spark-submit entrypoint reproducing Figures 11–13 (BMTree reward
   * replacement: SP vs GC vs LC).
@@ -9,29 +9,8 @@ import repro.exp.{BMTreeExp, TableFmt}
   */
 object BMTreeJob {
   def main(args: Array[String]): Unit = {
-    val card = BMTreeExp.varyCardinality()
-    println(TableFmt.render("Fig 11: BMTree variants vs N (OSM-like)",
-      Seq("N", "variant", "reward (ms)", "learn (ms)", "block accesses"),
-      for ((n, vs) <- card; v <- vs)
-        yield Seq(n.toString, v.variant, TableFmt.ms(v.rewardNanos.toDouble),
-          TableFmt.ms(v.learnNanos.toDouble), f"${v.blockAccesses}%.1f")))
-
-    val qs = BMTreeExp.varyQueries()
-    println(TableFmt.render("Fig 12: BMTree variants vs learning queries (OSM-like)",
-      Seq("n queries", "variant", "reward (ms)", "block accesses"),
-      for ((n, vs) <- qs; v <- vs)
-        yield Seq(n.toString, v.variant, TableFmt.ms(v.rewardNanos.toDouble),
-          f"${v.blockAccesses}%.1f")))
-
-    val (sp, gc, lc) = BMTreeExp.varySamplingAndDepth()
-    println(TableFmt.render("Fig 13: reward time vs query cost (SKEW-like)",
-      Seq("config", "reward (ms)", "block accesses"),
-      sp.map { case (rho, h, v) =>
-        Seq(f"SP ρ=$rho%.3f h=$h", TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
-      } ++ gc.map { case (h, v) =>
-        Seq(s"GC h=$h", TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
-      } ++ lc.map { case (h, v) =>
-        Seq(s"LC h=$h", TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
-      }))
+    println(BMTreeExp.varyCardinality().table)
+    println(BMTreeExp.varyQueries().table)
+    println(BMTreeExp.varySamplingAndDepth().table)
   }
 }

@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{CostEfficiencyExp, TableFmt}
+import repro.exp.CostEfficiencyExp._
 
 /** spark-submit entrypoint reproducing Figures 9 and 10 (cost-estimation
   * efficiency sweeps over n, δ, ℓ, d).
@@ -9,32 +9,7 @@ import repro.exp.{CostEfficiencyExp, TableFmt}
   */
 object CostEfficiencyJob {
   def main(args: Array[String]): Unit = {
-    def show(caption: String, labels: Seq[String], rows: Seq[CostEfficiencyExp.Row]): Unit =
-      println(TableFmt.render(caption,
-        Seq("param", "fast (µs/eval)", "naive (µs/eval)", "gain"),
-        labels.zip(rows).map { case (l, r) =>
-          Seq(l, TableFmt.micros(r.fastNanosPerEval), TableFmt.micros(r.naiveNanosPerEval),
-            f"${r.gain}%.1fx")
-        }))
-
-    val nExps = Seq(0, 2, 4, 6, 8, 10)
-    show("Fig 9a: GC vs NGC, varying n", nExps.map(e => s"n=2^$e"),
-      CostEfficiencyExp.sweepN("global", nExps))
-    show("Fig 9b: GC vs NGC, varying δ", Seq(16L, 64L, 256L).map(d => s"δ=$d"),
-      CostEfficiencyExp.sweepDelta("global", Seq(16, 64, 256)))
-    show("Fig 9c: GC vs NGC, varying ℓ", Seq(10, 12, 14, 16).map(b => s"ℓ=$b"),
-      CostEfficiencyExp.sweepBits("global", Seq(10, 12, 14, 16)))
-    show("Fig 9d: GC vs NGC, varying d", Seq(2, 3, 4).map(d => s"d=$d"),
-      CostEfficiencyExp.sweepD("global", Seq(2, 3, 4)))
-
-    val lExps = Seq(0, 2, 4, 6, 8)
-    show("Fig 10a: LC vs NLC, varying n", lExps.map(e => s"n=2^$e"),
-      lExps.map(e => CostEfficiencyExp.local(n = 1 << e, mNaive = 1)))
-    show("Fig 10b: LC vs NLC, varying δ", Seq(16L, 64L, 256L).map(d => s"δ=$d"),
-      CostEfficiencyExp.sweepDelta("local", Seq(16, 64, 256)))
-    show("Fig 10c: LC vs NLC, varying ℓ", Seq(10, 12, 14).map(b => s"ℓ=$b"),
-      CostEfficiencyExp.sweepBits("local", Seq(10, 12, 14)))
-    show("Fig 10d: LC vs NLC, varying d", Seq(2, 3, 4).map(d => s"d=$d"),
-      CostEfficiencyExp.sweepD("local", Seq(2, 3, 4)))
+    println(fig9a().table); println(fig9b().table); println(fig9c().table); println(fig9d().table)
+    println(fig10a().table); println(fig10b().table); println(fig10c().table); println(fig10d().table)
   }
 }

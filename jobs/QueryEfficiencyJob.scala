@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{QueryExp, TableFmt}
+import repro.exp.QueryExp
 
 /** spark-submit entrypoint reproducing Figures 14–17 (block accesses of
   * LBMC / BMTree / QUILTS / ZC / HC / LC).
@@ -9,25 +9,9 @@ import repro.exp.{QueryExp, TableFmt}
   */
 object QueryEfficiencyJob {
   def main(args: Array[String]): Unit = {
-    val overall = QueryExp.overall()
-    val names = overall.head._2.map(_._1)
-    println(TableFmt.render("Fig 14: avg block accesses (rows=dataset, cols=curve)",
-      "dataset" +: names,
-      overall.map { case (d, s) => d +: s.map(x => f"${x._2}%.1f") }))
-
-    val byN = QueryExp.varyCardinality()
-    println(TableFmt.render("Fig 15: avg block accesses vs N (OSM-like)",
-      "N" +: names,
-      byN.map { case (n, _, s) => n.toString +: s.map(x => f"${x._2}%.1f") }))
-
-    val byRatio = QueryExp.varyAspectRatio()
-    println(TableFmt.render("Fig 16: avg block accesses vs aspect ratio (OSM-like)",
-      "ratio" +: names,
-      byRatio.map { case (r, s) => r +: s.map(x => f"${x._2}%.1f") }))
-
-    val byEdge = QueryExp.varyEdge()
-    println(TableFmt.render("Fig 17: avg block accesses vs query edge (OSM-like)",
-      "edge" +: names,
-      byEdge.map { case (e, s) => e.toString +: s.map(x => f"${x._2}%.1f") }))
+    println(QueryExp.overall().table)
+    println(QueryExp.varyCardinality().table)
+    println(QueryExp.varyAspectRatio().table)
+    println(QueryExp.varyEdge().table)
   }
 }

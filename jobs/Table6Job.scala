@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{CostEfficiencyExp, TableFmt}
+import repro.exp.CostEfficiencyExp
 
 /** spark-submit entrypoint reproducing Table 6 (initialization costs of GC
   * and LC, varying n). Pure-driver computation: the cost estimators are
@@ -10,13 +10,7 @@ import repro.exp.{CostEfficiencyExp, TableFmt}
   */
 object Table6Job {
   def main(args: Array[String]): Unit = {
-    val maxExp = args.headOption.map(_.toInt).getOrElse(10)
-    val rows = CostEfficiencyExp.table6(maxExp)
-    println(TableFmt.render("Table 6: initialization costs of GC and LC (varying n)",
-      Seq("n", "IGC (ms)", "NGC (ms)", "ILC (ms)", "NLC (s)"),
-      rows.map { case (n, g, l) =>
-        Seq(n.toString, TableFmt.ms(g.initNanos.toDouble), TableFmt.ms(g.naiveNanosPerEval),
-          TableFmt.ms(l.initNanos.toDouble), TableFmt.secs(l.naiveNanosPerEval))
-      }))
+    val fig = args.headOption.fold(CostEfficiencyExp.table6())(e => CostEfficiencyExp.table6(e.toInt))
+    println(fig.table)
   }
 }

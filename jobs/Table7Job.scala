@@ -1,31 +1,11 @@
 package repro.jobs
 
-import repro.core._
-import repro.exp.{QueryExp, TableFmt}
-import repro.learn.{BMTree, LBMC, LBMCConfig, Quilts}
+import repro.exp.QueryExp
 
 /** spark-submit entrypoint reproducing Table 7 (SFC learning time vs N).
   *
   * Usage: spark-submit --class repro.jobs.Table7Job repro.jar
   */
 object Table7Job {
-  def main(args: Array[String]): Unit = {
-    val bits = QueryExp.DefaultBits
-    val ns = Seq(10_000, 100_000, 1_000_000)
-    val learnQs = Workloads.squares("OSM", QueryExp.LearnQueries, QueryExp.DefaultEdge, bits, 3)
-
-    val rows = ns.map { n =>
-      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
-      val bmtree = BMTree.learn(learnQs.toSeq, data, 2, bits, QueryExp.DefaultH,
-        QueryExp.DefaultRho, BMTree.SPReward, QueryExp.DefaultBlock)
-      val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs.toSeq, 2, bits))
-      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits))
-      val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
-      Seq(n.toString, TableFmt.secs(bmtree.totalNanos.toDouble),
-        TableFmt.secs((wcNanos + lbmc.totalNanos).toDouble),
-        TableFmt.secs((wcNanos + quiltsNanos).toDouble))
-    }
-    println(TableFmt.render("Table 7: SFC learning time (seconds) vs N (OSM-like)",
-      Seq("N", "BMTree (s)", "LBMC (s)", "QUILTS (s)"), rows))
-  }
+  def main(args: Array[String]): Unit = println(QueryExp.learningTime().table)
 }

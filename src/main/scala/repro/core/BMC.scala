@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** A space-filling curve over a d-dimensional integer grid.
   *
   * Coordinates are grid-cell column indices in `[0, 2^bits(i))` for
@@ -167,8 +169,19 @@ object BMC {
   /** Z-order curve: dimensions interleave round-robin; for d=2, ℓ=2 this
     * is "YXYX" (x is the least-significant bit, as in the paper's figures).
     */
-  def zOrder(d: Int, bits: Int): BMC =
-    apply((0 until d * bits).map(_ % d), d)
+  def zOrder(d: Int, bits: Int): BMC = interleave(Array.fill(d)(bits))
+
+  /** Round-robin interleave of `bitsPerDim(i)` bits per dimension: each
+    * round, from the least-significant end, takes the next bit of every
+    * dimension that still has one, x first. Equal counts give the Z-order
+    * curve; unequal ones give the BMTree's default sub-space completion
+    * and QUILTS' interleaved arrangement, e.g. (3, 1) → "XXYX".
+    */
+  def interleave(bitsPerDim: Array[Int]): BMC = {
+    val dims = Array.newBuilder[Int]
+    for (level <- 0 until bitsPerDim.max; i <- bitsPerDim.indices if level < bitsPerDim(i)) dims += i
+    apply(ArraySeq.unsafeWrapArray(dims.result()), bitsPerDim.length)
+  }
 
   /** Lexicographic (C-) curve ordered by `major` first: all bits of the
     * major dimension are most significant. For d=2 major=0 this is

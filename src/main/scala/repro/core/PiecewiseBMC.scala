@@ -63,25 +63,6 @@ object PiecewiseBMC {
   /** Leaf: order the sub-space by `bmc` over the remaining bits. */
   final case class Tail(bmc: BMC) extends Node
 
-  /** Round-robin interleave of the remaining bits (the default completion
-    * below the learned depth; reduces to the Z-order curve at the root).
-    */
-  def interleave(remBits: Array[Int]): BMC = {
-    val d = remBits.length
-    val dims = scala.collection.mutable.ArrayBuffer.empty[Int]
-    var level = 0
-    val maxRem = remBits.max
-    while (level < maxRem) {
-      var i = 0
-      while (i < d) {
-        if (level < remBits(i)) dims += i
-        i += 1
-      }
-      level += 1
-    }
-    BMC(dims.toSeq, d)
-  }
-
   /** The trivial piecewise curve: a single leaf holding `bmc`. */
   def ofBMC(bmc: BMC, bits: Int): PiecewiseBMC =
     new PiecewiseBMC(Tail(bmc), bmc.d, bits)

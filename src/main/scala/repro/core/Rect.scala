@@ -48,9 +48,13 @@ final case class Rect(lo: Array[Long], hi: Array[Long]) {
   }
 
   /** Translate so that `origin` becomes the zero cell (BMTree sub-spaces). */
-  def translate(origin: Array[Long]): Rect =
-    Rect(lo.indices.map(i => lo(i) - origin(i)).toArray,
-         hi.indices.map(i => hi(i) - origin(i)).toArray)
+  def translate(origin: Array[Long]): Rect = {
+    val nlo = lo.clone()
+    val nhi = hi.clone()
+    var i = 0
+    while (i < d) { nlo(i) -= origin(i); nhi(i) -= origin(i); i += 1 }
+    Rect(nlo, nhi)
+  }
 
   def show: String =
     lo.indices.map(i => s"[${lo(i)},${hi(i)}]").mkString("×")

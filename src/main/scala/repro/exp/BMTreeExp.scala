@@ -11,20 +11,15 @@ import repro.learn.BMTree
   * *full* dataset) of the learned curves.
   */
 object BMTreeExp {
+  import QueryExp.{DefaultBits, DefaultBlock, DefaultEdge}
 
   /** Defaults (scaled from Table 5, see DESIGN.md § 6). */
-  val DefaultBits = 16
   val DefaultN = 100_000
   val DefaultQueries = 200
   val DefaultH = 6
   // The original BMTree samples 10⁵ of 10⁸ points; scaled to our N this
   // keeps the SP sample in the thousands so its cost profile is realistic.
   val DefaultRho = 0.05
-  val DefaultBlock = 128
-  // Queries cover (8192/65536)² ≈ 1.6% of the space — selective enough to
-  // be index-friendly, large enough that block counts differentiate curves
-  // (the paper's PostgreSQL runs report thousands of block reads/query).
-  val DefaultEdge = 8192L
 
   final case class VariantRow(
       variant: String,
@@ -63,28 +58,44 @@ object BMTreeExp {
     ()
   }
 
+  private def cost(v: VariantRow): Seq[String] =
+    Seq(TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
+
   /** Fig. 11: vary the dataset cardinality N. */
-  def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Seq[(Int, Seq[VariantRow])] = {
+  def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Figure[Seq[(Int, Seq[VariantRow])]] = {
     warmup()
-    ns.map(n => (n, run(n = n)))
+    val results = ns.map(n => (n, run(n = n)))
+    Figure(results, TableFmt.render("Fig 11: BMTree variants vs N (OSM-like)",
+      Seq("N", "variant", "reward (ms)", "learn (ms)", "block accesses"),
+      for ((n, vs) <- results; v <- vs)
+        yield Seq(n.toString, v.variant, TableFmt.ms(v.rewardNanos.toDouble),
+          TableFmt.ms(v.learnNanos.toDouble), f"${v.blockAccesses}%.1f")))
   }
 
   /** Fig. 12: vary the number of learning queries n. */
-  def varyQueries(qs: Seq[Int] = Seq(50, 100, 200, 400)): Seq[(Int, Seq[VariantRow])] = {
+  def varyQueries(qs: Seq[Int] = Seq(50, 100, 200, 400)): Figure[Seq[(Int, Seq[VariantRow])]] = {
     warmup()
-    qs.map(q => (q, run(nQueries = q)))
+    val results = qs.map(q => (q, run(nQueries = q)))
+    Figure(results, TableFmt.render("Fig 12: BMTree variants vs learning queries (OSM-like)",
+      Seq("n queries", "variant", "reward (ms)", "block accesses"),
+      for ((n, vs) <- results; v <- vs) yield Seq(n.toString, v.variant) ++ cost(v)))
   }
 
   /** Fig. 13: vary the sampling rate ρ (SP only) and the depth h (all). */
   def varySamplingAndDepth(
       dist: String = "SKEW",
       rhos: Seq[Double] = Seq(0.001, 0.01, 0.1),
-      hs: Seq[Int] = Seq(4, 6, 8)): (Seq[(Double, Int, VariantRow)], Seq[(Int, VariantRow)], Seq[(Int, VariantRow)]) = {
+      hs: Seq[Int] = Seq(4, 6, 8))
+      : Figure[(Seq[(Double, Int, VariantRow)], Seq[(Int, VariantRow)], Seq[(Int, VariantRow)])] = {
     warmup()
     val sp = for (h <- hs; rho <- rhos)
       yield (rho, h, run(dist = dist, h = h, rho = rho, rewards = Seq(BMTree.SPReward)).head)
     val gc = hs.map(h => (h, run(dist = dist, h = h, rewards = Seq(BMTree.GCReward)).head))
     val lc = hs.map(h => (h, run(dist = dist, h = h, rewards = Seq(BMTree.LCReward)).head))
-    (sp, gc, lc)
+    Figure((sp, gc, lc), TableFmt.render(s"Fig 13: reward time vs query cost ($dist-like)",
+      Seq("config", "reward (ms)", "block accesses"),
+      sp.map { case (rho, h, v) => f"SP ρ=$rho%.3f h=$h" +: cost(v) } ++
+        gc.map { case (h, v) => s"GC h=$h" +: cost(v) } ++
+        lc.map { case (h, v) => s"LC h=$h" +: cost(v) }))
   }
 }

@@ -102,43 +102,70 @@ object CostEfficiencyExp {
   }
 
   /** Table 6: initialization and naive costs while varying n = 2¹..2¹⁰. */
-  def table6(maxExp: Int = 10): Seq[(Int, Row, Row)] =
-    (1 to maxExp).map { e =>
+  def table6(maxExp: Int = 10): Figure[Seq[(Int, Row, Row)]] = {
+    val rows = (1 to maxExp).map { e =>
       val n = 1 << e
       (n, global(n = n), local(n = n, mNaive = 1))
     }
+    Figure(rows, TableFmt.render("Table 6: initialization costs of GC and LC (varying n)",
+      Seq("n", "IGC (ms)", "NGC (ms)", "ILC (ms)", "NLC (s)"),
+      rows.map { case (n, g, l) =>
+        Seq(n.toString, TableFmt.ms(g.initNanos.toDouble), TableFmt.ms(g.naiveNanosPerEval),
+          TableFmt.ms(l.initNanos.toDouble), TableFmt.secs(l.naiveNanosPerEval))
+      }))
+  }
 
-  /** Fig. 9/10 sweeps. `which` is "global" or "local". */
-  def sweepN(which: String, exps: Seq[Int] = Seq(0, 2, 4, 6, 8, 10)): Seq[Row] =
-    exps.map(e => point(which, n = 1 << e))
+  /** One Fig. 9 panel: GC vs NGC, both in µs per candidate BMC. */
+  private def globalPanel(caption: String, labels: Seq[String], rows: Seq[Row]): Figure[Seq[Row]] =
+    Figure(rows, TableFmt.render(caption, Seq("param", "GC (µs/eval)", "NGC (µs/eval)", "gain"),
+      labels.zip(rows).map { case (l, r) =>
+        Seq(l, TableFmt.micros(r.fastNanosPerEval), TableFmt.micros(r.naiveNanosPerEval),
+          f"${r.gain}%.1fx")
+      }))
 
-  def sweepDelta(which: String, deltas: Seq[Long] = Seq(16, 32, 64, 128, 256)): Seq[Row] =
-    deltas.map(dl => point(which, delta = dl))
+  /** One Fig. 10 panel: LC in µs vs NLC in ms per candidate BMC. */
+  private def localPanel(caption: String, labels: Seq[String], rows: Seq[Row]): Figure[Seq[Row]] =
+    Figure(rows, TableFmt.render(caption, Seq("param", "LC (µs/eval)", "NLC (ms/eval)", "gain"),
+      labels.zip(rows).map { case (l, r) =>
+        Seq(l, TableFmt.micros(r.fastNanosPerEval), TableFmt.ms(r.naiveNanosPerEval),
+          f"${r.gain}%.0fx")
+      }))
 
-  /** ℓ sweep: query extent scales with the resolution (a fixed real-world
+  /** ℓ sweeps: query extent scales with the resolution (a fixed real-world
     * query covers 2^(ℓ−10)× more cells per dimension at resolution ℓ),
     * which is what makes the naive scan infeasible at large ℓ.
     */
-  def sweepBits(which: String, bitsSeq: Seq[Int] = Seq(10, 12, 14, 16),
-                deltaAt10: Long = 16): Seq[Row] =
-    bitsSeq.map { b =>
-      val dl = deltaAt10 << (b - 10)
-      point(which, delta = dl, bits = b, mNaiveLocal = 1)
-    }
+  private def deltaAt(bits: Int): Long = 16L << (bits - 10)
 
-  def sweepD(which: String, ds: Seq[Int] = Seq(2, 3, 4)): Seq[Row] =
-    ds.map { dd =>
-      // Keep per-query volume manageable for the naive scan as d grows.
-      val dl = if (which == "local") math.max(4L, 64L >> dd) else DefaultDelta
-      point(which, delta = dl, d = dd, mNaiveLocal = 1)
-    }
+  // Figs. 9a–d and 10a–d: one parameter swept per panel, the rest at the
+  // Table 5 defaults above.
+  def fig9a(exps: Seq[Int] = Seq(0, 2, 4, 6, 8, 10)): Figure[Seq[Row]] =
+    globalPanel("Fig 9a: global cost vs n", exps.map(e => s"n=2^$e"), exps.map(e => global(n = 1 << e)))
 
-  private def point(which: String, n: Int = DefaultN, delta: Long = DefaultDelta,
-                    bits: Int = DefaultBits, d: Int = DefaultD,
-                    mNaiveLocal: Int = 2): Row =
-    which match {
-      case "global" => global(n = n, delta = delta, bits = bits, d = d)
-      case "local"  => local(n = n, delta = delta, bits = bits, d = d, mNaive = mNaiveLocal)
-      case other    => throw new IllegalArgumentException(other)
-    }
+  def fig9b(deltas: Seq[Long] = Seq(16, 32, 64, 128, 256)): Figure[Seq[Row]] =
+    globalPanel("Fig 9b: global cost vs δ", deltas.map(dl => s"δ=$dl"), deltas.map(dl => global(delta = dl)))
+
+  def fig9c(bitsSeq: Seq[Int] = Seq(10, 12, 14, 16)): Figure[Seq[Row]] =
+    globalPanel("Fig 9c: global cost vs ℓ", bitsSeq.map(b => s"ℓ=$b"),
+      bitsSeq.map(b => global(delta = deltaAt(b), bits = b)))
+
+  def fig9d(ds: Seq[Int] = Seq(2, 3, 4)): Figure[Seq[Row]] =
+    globalPanel("Fig 9d: global cost vs d (gain column = paper's y-axis)", ds.map(dd => s"d=$dd"),
+      ds.map(dd => global(d = dd)))
+
+  def fig10a(exps: Seq[Int] = Seq(0, 2, 4, 6, 8)): Figure[Seq[Row]] =
+    localPanel("Fig 10a: local cost vs n", exps.map(e => s"n=2^$e"),
+      exps.map(e => local(n = 1 << e, mNaive = 1)))
+
+  def fig10b(deltas: Seq[Long] = Seq(16, 32, 64, 128, 256)): Figure[Seq[Row]] =
+    localPanel("Fig 10b: local cost vs δ", deltas.map(dl => s"δ=$dl"), deltas.map(dl => local(delta = dl)))
+
+  def fig10c(bitsSeq: Seq[Int] = Seq(10, 12, 14)): Figure[Seq[Row]] =
+    localPanel("Fig 10c: local cost vs ℓ", bitsSeq.map(b => s"ℓ=$b"),
+      bitsSeq.map(b => local(delta = deltaAt(b), bits = b, mNaive = 1)))
+
+  /** δ shrinks as d grows so the naive scan's per-query volume δ^d stays manageable. */
+  def fig10d(ds: Seq[Int] = Seq(2, 3, 4)): Figure[Seq[Row]] =
+    localPanel("Fig 10d: local cost vs d (gain column = paper's y-axis)", ds.map(dd => s"d=$dd"),
+      ds.map(dd => local(delta = math.max(4L, 64L >> dd), d = dd, mNaive = 1)))
 }

@@ -13,12 +13,15 @@ import repro.learn.{BMTree, LBMC, LBMCConfig, Quilts}
   */
 object QueryExp {
 
+  /** Defaults of Sections 6.3–6.4 (scaled from Table 5, see DESIGN.md § 6). */
   val DefaultBits = 16
   val DefaultN = 100_000
   val LearnQueries = 200
   val TestQueries = 400
   val DefaultBlock = 128
-  // ≈1.6% of the space per query; see BMTreeExp.DefaultEdge.
+  // Queries cover (8192/65536)² ≈ 1.6% of the space — selective enough to
+  // be index-friendly, large enough that block counts differentiate curves
+  // (the paper's PostgreSQL runs report thousands of block reads/query).
   val DefaultEdge = 8192L
   val DefaultH = 6
   val DefaultRho = 0.02
@@ -62,56 +65,94 @@ object QueryExp {
       (c.name, idx.avgBlockAccesses(testQs.toSeq))
     }
 
+  /** Figs. 14–17: average block accesses, one row per setting and one
+    * column per curve.
+    */
+  private def blockTable(caption: String, param: String,
+                         rows: Seq[(String, Seq[(String, Double)])]): String =
+    TableFmt.render(caption, param +: rows.head._2.map(_._1),
+      rows.map { case (label, scores) => label +: scores.map { case (_, ba) => f"$ba%.1f" } })
+
   /** Fig. 14: all curves on all four datasets. */
   def overall(n: Int = DefaultN, bits: Int = DefaultBits, edge: Long = DefaultEdge,
-              seed: Long = 41): Seq[(String, Seq[(String, Double)])] =
-    SpatialGen.Distributions.map { dist =>
+              seed: Long = 41): Figure[Seq[(String, Seq[(String, Double)])]] = {
+    val results = SpatialGen.Distributions.map { dist =>
       val data = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
       val learnQs = Workloads.squares(dist, LearnQueries, edge, bits, seed + 1)
       val testQs = Workloads.squares(dist, TestQueries, edge, bits, seed + 2)
       val curves = competitors(dist, data, learnQs, bits)
       (dist, evaluate(data, curves, testQs))
     }
+    Figure(results, blockTable("Fig 14: avg block accesses (rows=dataset, cols=curve)", "dataset", results))
+  }
 
-  /** Fig. 15 + Table 7: vary the dataset cardinality (OSM-like data).
-    * Returns per N: (learning time per learned curve, block accesses per
-    * curve).
+  /** Fig. 15: vary the dataset cardinality (OSM-like data). Returns per N
+    * the learned curves with their learning times and the block accesses
+    * per curve.
     */
   def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000),
                       bits: Int = DefaultBits, edge: Long = DefaultEdge,
-                      seed: Long = 51): Seq[(Int, Seq[CurveRow], Seq[(String, Double)])] =
-    ns.map { n =>
+                      seed: Long = 51): Figure[Seq[(Int, Seq[CurveRow], Seq[(String, Double)])]] = {
+    val results = ns.map { n =>
       val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
       val learnQs = Workloads.squares("OSM", LearnQueries, edge, bits, seed + 1)
       val testQs = Workloads.squares("OSM", TestQueries, edge, bits, seed + 2)
       val curves = competitors("OSM", data, learnQs, bits)
       (n, curves, evaluate(data, curves, testQs))
     }
+    Figure(results, blockTable("Fig 15: avg block accesses vs N (OSM-like)", "N",
+      results.map { case (n, _, scores) => (n.toString, scores) }))
+  }
 
   /** Fig. 16: vary the query aspect ratio at fixed area (OSM-like). */
   def varyAspectRatio(ratios: Seq[Double] = Seq(16.0, 4.0, 1.0, 0.25, 0.0625),
                       n: Int = DefaultN, bits: Int = DefaultBits, edge: Long = DefaultEdge,
-                      seed: Long = 61): Seq[(String, Seq[(String, Double)])] = {
+                      seed: Long = 61): Figure[Seq[(String, Seq[(String, Double)])]] = {
     val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
-    ratios.map { r =>
+    val results = ratios.map { r =>
       val learnQs = Workloads.withAspectRatio("OSM", LearnQueries, edge, r, bits, seed + 1)
       val testQs = Workloads.withAspectRatio("OSM", TestQueries, edge, r, bits, seed + 2)
       val curves = competitors("OSM", data, learnQs, bits)
       val label = if (r >= 1) s"${r.toInt}:1" else s"1:${(1 / r).toInt}"
       (label, evaluate(data, curves, testQs))
     }
+    Figure(results, blockTable("Fig 16: avg block accesses vs aspect ratio (OSM-like)", "ratio", results))
   }
 
   /** Fig. 17: vary the query edge length (OSM-like). */
   def varyEdge(edges: Seq[Long] = Seq(2048, 4096, 8192, 16384),
                n: Int = DefaultN, bits: Int = DefaultBits,
-               seed: Long = 71): Seq[(Long, Seq[(String, Double)])] = {
+               seed: Long = 71): Figure[Seq[(Long, Seq[(String, Double)])]] = {
     val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
-    edges.map { e =>
+    val results = edges.map { e =>
       val learnQs = Workloads.squares("OSM", LearnQueries, e, bits, seed + 1)
       val testQs = Workloads.squares("OSM", TestQueries, e, bits, seed + 2)
       val curves = competitors("OSM", data, learnQs, bits)
       (e, evaluate(data, curves, testQs))
     }
+    Figure(results, blockTable("Fig 17: avg block accesses vs query edge (OSM-like)", "edge",
+      results.map { case (e, scores) => (e.toString, scores) }))
+  }
+
+  /** Table 7: learning time of BMTree (SP reward), LBMC and QUILTS vs N on
+    * one OSM-like learning workload. Rows are (N, BMTree, LBMC, QUILTS)
+    * nanoseconds; the two cost-model learners include the workload scan.
+    */
+  def learningTime(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Figure[Seq[(Int, Long, Long, Long)]] = {
+    val bits = DefaultBits
+    val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3).toSeq
+    val rows = ns.map { n =>
+      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
+      val bmtree = BMTree.learn(learnQs, data, 2, bits, DefaultH, DefaultRho, BMTree.SPReward, DefaultBlock)
+      val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs, 2, bits))
+      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits))
+      val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
+      (n, bmtree.totalNanos, wcNanos + lbmc.totalNanos, wcNanos + quiltsNanos)
+    }
+    Figure(rows, TableFmt.render("Table 7: SFC learning time (seconds) vs N (OSM-like)",
+      Seq("N", "BMTree (s)", "LBMC (s)", "QUILTS (s)"),
+      rows.map { case (n, bm, lb, qu) =>
+        Seq(n.toString, TableFmt.secs(bm.toDouble), TableFmt.secs(lb.toDouble), TableFmt.secs(qu.toDouble))
+      }))
   }
 }

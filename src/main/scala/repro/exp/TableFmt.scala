@@ -1,5 +1,10 @@
 package repro.exp
 
+/** One reproduced paper table or figure: what was measured, and the text
+  * table that benches and jobs print for it.
+  */
+final case class Figure[A](data: A, table: String)
+
 /** Plain-text table formatting for bench/job output (EXPERIMENTS.md
   * records these rows next to the paper's).
   */

@@ -2,7 +2,8 @@ package repro.learn
 
 import java.util.Random
 import repro.core._
-import repro.core.PiecewiseBMC.{Node, Split, Tail, interleave}
+import repro.core.BMC.interleave
+import repro.core.PiecewiseBMC.{Node, Split, Tail}
 
 /** A BMTree learner (Li et al., PVLDB'23) with pluggable reward, as used
   * in Section 6.3 of the reproduced paper.
@@ -144,21 +145,18 @@ object BMTree {
         val (pts0, pts1raw) = pts.partition(p => (p(c) & half) == 0)
         val pts1 = pts1raw.map { p => val q = p.clone(); q(c) -= half; q }
 
-        val qs0 = Seq.newBuilder[Rect]
-        val qs1 = Seq.newBuilder[Rect]
-        for (q <- qs) {
-          if (q.lo(c) < half) {
-            val hi = q.hi.clone(); hi(c) = math.min(q.hi(c), half - 1)
-            qs0 += Rect(q.lo.clone(), hi)
-          }
-          if (q.hi(c) >= half) {
-            val lo = q.lo.clone(); lo(c) = math.max(q.lo(c), half) - half
-            val hi = q.hi.clone(); hi(c) -= half
-            qs1 += Rect(lo, hi)
-          }
-        }
-        Split(c, build(depth + 1, rem2, qs0.result(), pts0),
-                 build(depth + 1, rem2, qs1.result(), pts1))
+        // Clip the queries to the half-spaces x_c < half and x_c ≥ half;
+        // the upper half's queries move to its own origin.
+        def halfSpace(lo: Long, hi: Long) = Rect(
+          Array.tabulate(d)(i => if (i == c) lo else Long.MinValue),
+          Array.tabulate(d)(i => if (i == c) hi else Long.MaxValue))
+        val lower = halfSpace(Long.MinValue, half - 1)
+        val upper = halfSpace(half, Long.MaxValue)
+        val upperOrigin = Array.tabulate(d)(i => if (i == c) half else 0L)
+        val qs0 = qs.flatMap(_.clip(lower))
+        val qs1 = qs.flatMap(_.clip(upper).map(_.translate(upperOrigin)))
+        Split(c, build(depth + 1, rem2, qs0, pts0),
+                 build(depth + 1, rem2, qs1, pts1))
       }
     }
 

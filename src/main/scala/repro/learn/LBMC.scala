@@ -2,7 +2,6 @@ package repro.learn
 
 import java.util.Random
 import repro.core.{BMC, WorkloadCost}
-import scala.collection.mutable.ArrayBuffer
 
 /** Configuration for the LBMC learner (Algorithm 3).
   *
@@ -83,8 +82,12 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
     val target = new MLP(Array(stateSize, cfg.hidden, nActions), cfg.seed + 1, cfg.lr)
     target.copyWeightsFrom(qNet)
 
-    // Replay memory MQ: (state, action, reward, nextState, nextValidActions).
-    val mq = new ArrayBuffer[(Array[Double], Int, Double, Array[Double], Array[Int])]
+    // Replay memory MQ: (state, action, reward, nextState, nextValidActions),
+    // a ring of the last `cfg.replay` transitions whose i-th oldest sits in
+    // slot (oldest + i) % cfg.replay.
+    val mq = new Array[(Array[Double], Int, Double, Array[Double], Array[Int])](cfg.replay)
+    var oldest = 0
+    var stored = 0
     val trace = Vector.newBuilder[Double]
 
     val c1 = timedCost(init)
@@ -113,11 +116,11 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
         val nextState = encode(next)
         val nextValid = validActions(next)
 
-        if (mq.size >= cfg.replay) mq.remove(0)
-        mq += ((state, action, reward, nextState, nextValid))
+        mq((oldest + stored) % cfg.replay) = (state, action, reward, nextState, nextValid)
+        if (stored < cfg.replay) stored += 1 else oldest = (oldest + 1) % cfg.replay
 
-        if (mq.size >= cfg.batch) {
-          val batch = Seq.fill(cfg.batch)(mq(rng.nextInt(mq.size)))
+        if (stored >= cfg.batch) {
+          val batch = Seq.fill(cfg.batch)(mq((oldest + rng.nextInt(stored)) % cfg.replay))
           val samples = batch.map { case (s, a, r, s2, v2) =>
             val q2 = target.forward(s2)
             val maxQ = if (v2.isEmpty) 0.0 else v2.map(q2(_)).max

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions.udf
 import repro.core.SpaceFillingCurve
@@ -22,21 +22,11 @@ object CurveUdfs {
                      out: String = "sfc"): DataFrame =
     df.withColumn(out, curveValue2d(curve)(df(xq), df(yq)))
 
-  /** d-dimensional variant taking an array column of cell coordinates. */
-  def curveValueNd(curve: SpaceFillingCurve): UserDefinedFunction =
-    udf((cells: Seq[Long]) => curve.value(cells.toArray))
-
-  /** Convenience for building the array column from named cell columns. */
-  def cellArray(cols: Seq[Column]): Column =
-    org.apache.spark.sql.functions.array(cols: _*)
-
   /** Register `name(xq, yq)` as a SQL function computing the curve value,
     * so Spark SQL statements (e.g. `ORDER BY sfc_value(xq, yq)` or a
     * `CREATE TABLE ... AS SELECT`) can use the chosen curve directly.
     */
   def registerSql(spark: org.apache.spark.sql.SparkSession,
-                  name: String, curve: SpaceFillingCurve): Unit = {
-    require(curve.d == 2, s"curve is ${curve.d}-dimensional, expected 2")
-    spark.udf.register(name, (x: Long, y: Long) => curve.value(Array(x, y)))
-  }
+                  name: String, curve: SpaceFillingCurve): Unit =
+    spark.udf.register(name, curveValue2d(curve))
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import BMC.interleave
 import PiecewiseBMC._
 
 /** Piecewise BMC (the BMTree's curve family). */

@@ -88,6 +88,24 @@ class LBMCSpec extends SparkSpec {
     assert(res.rewardNanos <= res.totalNanos)
   }
 
+  test("a replay memory smaller than the run keeps sampling oldest-first") {
+    // 24 steps through 6 replay slots: every step past the 6th evicts the
+    // oldest transition. The sampler's draw i must pick the i-th oldest
+    // transition; drawing any other one changes the pinned trace.
+    val wc = workload(10, 3)
+    val res = new LBMC(wc, LBMCConfig(episodes = 3, steps = 8, batch = 4, replay = 6, seed = 13))
+      .learn(BMC.zOrder(2, 3))
+    assert(res.best == BMC.fromString("XYXYYX"))
+    assert(res.bestCost == BigInt(46500))
+    assert(res.costTrace == Vector(
+      0.9562626946513202, 0.8384563303994583, 0.8844955991875423, 0.5247122545700744,
+      0.8844955991875423, 0.8384563303994583, 0.9562626946513202, 0.8384563303994583,
+      0.9530128639133378, 1.0, 0.9562626946513202, 0.8384563303994583,
+      0.9562626946513202, 0.8384563303994583, 0.9562626946513202, 0.8384563303994583,
+      0.588490182802979, 0.5247122545700744, 0.588490182802979, 0.5247122545700744,
+      0.588490182802979, 0.5247122545700744, 0.588490182802979, 0.5247122545700744))
+  }
+
   test("a mismatched initial BMC is rejected") {
     val wc = workload(9, 3)
     intercept[IllegalArgumentException](new LBMC(wc).learn(BMC.zOrder(2, 4)))
