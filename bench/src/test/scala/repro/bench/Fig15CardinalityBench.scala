@@ -12,15 +12,15 @@ class Fig15CardinalityBench extends AnyFunSuite {
   test("Fig 15: block accesses vs dataset cardinality") {
     val Figure(results, table) = QueryExp.varyCardinality()
     println(table)
-    val names = results.head._3.map(_._1)
+    val names = results.head._2.map(_._1)
 
     // Block accesses grow with N for every curve.
     for (name <- names) {
-      val series = results.map(_._3.toMap.apply(name))
+      val series = results.map(_._2.toMap.apply(name))
       assert(series.last > series.head, s"$name: $series")
     }
     // LBMC stays competitive with the best at every N.
-    for ((n, _, scores) <- results) {
+    for ((n, scores) <- results) {
       val best = scores.map(_._2).min
       assert(scores.toMap.apply("LBMC") <= best * 1.35, s"N=$n: $scores")
     }

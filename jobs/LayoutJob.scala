@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.exp.TableFmt
-import repro.learn.{LBMC, LBMCConfig, Quilts}
+import repro.learn.{LBMC, Quilts}
 import repro.spark.{BlockAccess, Layout, SpatialData}
 
 /** End-to-end Spark job realizing the repro hint: the O(1) cost estimator
@@ -32,7 +32,7 @@ object LayoutJob {
 
       // Candidates: deterministic schemes + QUILTS designs + the LBMC-learned curve.
       val wc = WorkloadCost(queries.toSeq, 2, bits)
-      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits)).best
+      val lbmc = new LBMC(wc).learn(BMC.zOrder(2, bits)).best
       val candidates = (Seq(BMC.zOrder(2, bits), BMC.lexicographic(2, bits, 0),
         BMC.lexicographic(2, bits, 1), lbmc) ++
         Quilts.candidates(queries.toSeq, 2, bits)).distinct

@@ -12,9 +12,6 @@ trait SpaceFillingCurve extends Serializable {
   /** Dimensionality of the grid. */
   def d: Int
 
-  /** Bits per dimension (uniform curves return the same value for all). */
-  def bitsOf(dim: Int): Int
-
   /** Human-readable name used in bench output. */
   def name: String
 
@@ -44,8 +41,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
     dims.foreach(c(_) += 1)
     c
   }
-
-  override def bitsOf(dim: Int): Int = bitsPerDim(dim)
 
   /** `bitOfDim(r)`: which bit (0-indexed, LSB first) of its dimension the
     * rank-`r` position carries.

@@ -52,7 +52,7 @@ object GlobalCost {
     val A: Array[Array[Long]] = {
       val a = Array.tabulate(d)(j => new Array[Long](bitsPerDim(j)))
       for (q <- queries) {
-        require(q.d == d, s"query dim ${q.d} != $d")
+        Rect.requireInGrid(q, bitsPerDim)
         var j = 0
         while (j < d) {
           var k = 0

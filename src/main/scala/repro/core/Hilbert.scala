@@ -11,8 +11,6 @@ final class Hilbert(val d: Int, val bits: Int) extends SpaceFillingCurve {
   require(d >= 1 && bits >= 1 && d * bits <= 62,
     s"unsupported Hilbert shape d=$d bits=$bits")
 
-  override def bitsOf(dim: Int): Int = bits
-
   override def name: String = s"HC(d=$d,l=$bits)"
 
   override def value(p: Array[Long]): Long = {

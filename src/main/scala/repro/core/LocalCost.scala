@@ -146,12 +146,12 @@ object LocalCost {
       * the ILC initialization the benches time, and per-query allocations
       * would dominate it.
       */
-    val tables: Array[Array[Array[Long]]] = {
+    val tables: Array[Array[Array[Long]]] = try {
       val t = Array.tabulate(d)(b => Array.ofDim[Long](bitsPerDim(b), numCols(b)))
       val drops = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
       val prods = Array.tabulate(d)(b => new Array[Long](numCols(b)))
       for (q <- queries) {
-        require(q.d == d, s"query dim ${q.d} != $d")
+        Rect.requireInGrid(q, bitsPerDim)
         var m = 0
         while (m < d) {
           var k = 0
@@ -172,7 +172,7 @@ object LocalCost {
               val row = t(b)(i - 1)
               var c = 0
               while (c < row.length) {
-                row(c) += rises * prod(c)
+                row(c) = Math.addExact(row(c), rises * prod(c))
                 c += 1
               }
             }
@@ -182,7 +182,13 @@ object LocalCost {
         }
       }
       t
-    }
+    } catch { case e: ArithmeticException => throw overflow(e) }
+
+    /** Cells and edge sums are Long; a workload whose edge count exceeds
+      * `Long` range is rejected rather than wrapped.
+      */
+    private def overflow(e: ArithmeticException) = new IllegalArgumentException(
+      s"local cost overflows Long arithmetic: the workload's total volume is $totalVolume cells", e)
 
     /** Fill `out(col) = Π_{m≠b} N(D_m^{k_m})` for every column of Table^b,
       * expanding one other-dimension at a time in place (no allocation).
@@ -216,7 +222,7 @@ object LocalCost {
         "BMC shape does not match the tables' (d, ℓ)")
       var e = 0L
       var b = 0
-      while (b < d) {
+      try while (b < d) {
         val o = others(b)
         val st = strides(b)
         var i = 1
@@ -228,11 +234,11 @@ object LocalCost {
             col += bmc.countBelow(gamma)(o(m)) * st(m)
             m += 1
           }
-          e += tables(b)(i - 1)(col.toInt)
+          e = Math.addExact(e, tables(b)(i - 1)(col.toInt))
           i += 1
         }
         b += 1
-      }
+      } catch { case ex: ArithmeticException => throw overflow(ex) }
       e
     }
 

@@ -74,6 +74,21 @@ object Rect {
   def of2d(x0: Long, x1: Long, y0: Long, y1: Long): Rect =
     Rect(Array(x0, y0), Array(x1, y1))
 
+  /** Rejects a query that is not d-dimensional with every coordinate of
+    * dimension j inside `[0, 2^ℓ_j)`: the cost models read a coordinate's
+    * bits below ℓ_j only, so an out-of-grid query would be silently
+    * scored as some other query.
+    */
+  def requireInGrid(q: Rect, bitsPerDim: Array[Int]): Unit = {
+    require(q.d == bitsPerDim.length, s"query dim ${q.d} != ${bitsPerDim.length}")
+    var j = 0
+    while (j < q.d) {
+      require(q.lo(j) >= 0 && q.hi(j) < (1L << bitsPerDim(j)),
+        s"query ${q.show} leaves the grid: dimension $j spans [0, ${(1L << bitsPerDim(j)) - 1}]")
+      j += 1
+    }
+  }
+
   /** Enumerate every grid cell in the rectangle (test/NLC reference only —
     * cost is V(q)).
     */

@@ -32,6 +32,9 @@ object CostEfficiencyExp {
   val DefaultBits = 10
   val DefaultD = 2
 
+  /** Seed of the query draw; the candidate BMCs use `QuerySeed + 1`. */
+  private val QuerySeed = 11L
+
   private def queries(n: Int, delta: Long, bits: Int, d: Int, seed: Long): Array[Rect] = {
     val rng = new Random(seed)
     val k = 1L << bits
@@ -66,9 +69,9 @@ object CostEfficiencyExp {
 
   /** Global-cost measurement at one parameter point. */
   def global(n: Int = DefaultN, delta: Long = DefaultDelta, bits: Int = DefaultBits,
-             d: Int = DefaultD, m: Int = 50, seed: Long = 11): Row = {
-    val qs = queries(n, delta, bits, d, seed)
-    val cands = candidates(d, bits, m, seed + 1)
+             d: Int = DefaultD, m: Int = 50): Row = {
+    val qs = queries(n, delta, bits, d, QuerySeed)
+    val cands = candidates(d, bits, m, QuerySeed + 1)
     val est0 = GlobalCost.Estimator(qs, d, bits)
     warmup(60) { est0.cost(cands(0)); GlobalCost.naive(qs.take(4), cands(0)) }
     // IGC: the one-off O(n) scan.
@@ -86,9 +89,9 @@ object CostEfficiencyExp {
     * O(V) per query, so it is measured over `mNaive` candidates only.
     */
   def local(n: Int = DefaultN, delta: Long = DefaultDelta, bits: Int = DefaultBits,
-            d: Int = DefaultD, m: Int = 50, mNaive: Int = 2, seed: Long = 11): Row = {
-    val qs = queries(n, delta, bits, d, seed)
-    val cands = candidates(d, bits, m, seed + 1)
+            d: Int = DefaultD, m: Int = 50, mNaive: Int = 2): Row = {
+    val qs = queries(n, delta, bits, d, QuerySeed)
+    val cands = candidates(d, bits, m, QuerySeed + 1)
     val tables0 = LocalCost.PatternTables(qs, d, bits)
     warmup(60)(tables0.cost(cands(0)))
     val initNanos = TableFmt.bestOf(3)(LocalCost.PatternTables(qs, d, bits))

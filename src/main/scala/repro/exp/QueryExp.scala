@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.core._
-import repro.learn.{BMTree, LBMC, LBMCConfig, Quilts}
+import repro.learn.{BMTree, LBMC, Quilts}
 
 /** Query-efficiency and learning-time experiments (Section 6.4:
   * Figures 14–17 and Table 7).
@@ -29,21 +29,17 @@ object QueryExp {
   final case class CurveRow(name: String, curve: SpaceFillingCurve, learnNanos: Long)
 
   /** Build all six competitors for one dataset + learning workload. */
-  def competitors(dist: String,
-                  data: Array[Array[Long]],
+  def competitors(data: Array[Array[Long]],
                   learnQs: Array[Rect],
                   bits: Int = DefaultBits,
                   h: Int = DefaultH,
-                  rho: Double = DefaultRho,
-                  blockSize: Int = DefaultBlock,
-                  seed: Long = 31,
-                  lbmcCfg: LBMCConfig = LBMCConfig()): Seq[CurveRow] = {
+                  rho: Double = DefaultRho): Seq[CurveRow] = {
     val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs.toSeq, 2, bits))
 
-    val lbmcRes = new LBMC(wc, lbmcCfg).learn(BMC.zOrder(2, bits))
+    val lbmcRes = new LBMC(wc).learn(BMC.zOrder(2, bits))
     val lbmc = CurveRow("LBMC", lbmcRes.best, wcNanos + lbmcRes.totalNanos)
 
-    val bmRes = BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, blockSize, seed)
+    val bmRes = BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, DefaultBlock, seed = 31)
     val bmtree = CurveRow("BMTree", bmRes.curve, bmRes.totalNanos)
 
     val ((quiltsCurve, _), quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
@@ -80,28 +76,26 @@ object QueryExp {
       val data = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
       val learnQs = Workloads.squares(dist, LearnQueries, edge, bits, seed + 1)
       val testQs = Workloads.squares(dist, TestQueries, edge, bits, seed + 2)
-      val curves = competitors(dist, data, learnQs, bits)
+      val curves = competitors(data, learnQs, bits)
       (dist, evaluate(data, curves, testQs))
     }
     Figure(results, blockTable("Fig 14: avg block accesses (rows=dataset, cols=curve)", "dataset", results))
   }
 
   /** Fig. 15: vary the dataset cardinality (OSM-like data). Returns per N
-    * the learned curves with their learning times and the block accesses
-    * per curve.
+    * the block accesses per curve.
     */
   def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000),
                       bits: Int = DefaultBits, edge: Long = DefaultEdge,
-                      seed: Long = 51): Figure[Seq[(Int, Seq[CurveRow], Seq[(String, Double)])]] = {
+                      seed: Long = 51): Figure[Seq[(Int, Seq[(String, Double)])]] = {
     val results = ns.map { n =>
       val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
       val learnQs = Workloads.squares("OSM", LearnQueries, edge, bits, seed + 1)
       val testQs = Workloads.squares("OSM", TestQueries, edge, bits, seed + 2)
-      val curves = competitors("OSM", data, learnQs, bits)
-      (n, curves, evaluate(data, curves, testQs))
+      (n, evaluate(data, competitors(data, learnQs, bits), testQs))
     }
     Figure(results, blockTable("Fig 15: avg block accesses vs N (OSM-like)", "N",
-      results.map { case (n, _, scores) => (n.toString, scores) }))
+      results.map { case (n, scores) => (n.toString, scores) }))
   }
 
   /** Fig. 16: vary the query aspect ratio at fixed area (OSM-like). */
@@ -112,7 +106,7 @@ object QueryExp {
     val results = ratios.map { r =>
       val learnQs = Workloads.withAspectRatio("OSM", LearnQueries, edge, r, bits, seed + 1)
       val testQs = Workloads.withAspectRatio("OSM", TestQueries, edge, r, bits, seed + 2)
-      val curves = competitors("OSM", data, learnQs, bits)
+      val curves = competitors(data, learnQs, bits)
       val label = if (r >= 1) s"${r.toInt}:1" else s"1:${(1 / r).toInt}"
       (label, evaluate(data, curves, testQs))
     }
@@ -127,7 +121,7 @@ object QueryExp {
     val results = edges.map { e =>
       val learnQs = Workloads.squares("OSM", LearnQueries, e, bits, seed + 1)
       val testQs = Workloads.squares("OSM", TestQueries, e, bits, seed + 2)
-      val curves = competitors("OSM", data, learnQs, bits)
+      val curves = competitors(data, learnQs, bits)
       (e, evaluate(data, curves, testQs))
     }
     Figure(results, blockTable("Fig 17: avg block accesses vs query edge (OSM-like)", "edge",
@@ -135,19 +129,17 @@ object QueryExp {
   }
 
   /** Table 7: learning time of BMTree (SP reward), LBMC and QUILTS vs N on
-    * one OSM-like learning workload. Rows are (N, BMTree, LBMC, QUILTS)
-    * nanoseconds; the two cost-model learners include the workload scan.
+    * one OSM-like learning workload, as [[competitors]] measures it. Rows
+    * are (N, BMTree, LBMC, QUILTS) nanoseconds; the two cost-model
+    * learners include the workload scan.
     */
   def learningTime(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Figure[Seq[(Int, Long, Long, Long)]] = {
     val bits = DefaultBits
-    val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3).toSeq
+    val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3)
     val rows = ns.map { n =>
       val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
-      val bmtree = BMTree.learn(learnQs, data, 2, bits, DefaultH, DefaultRho, BMTree.SPReward, DefaultBlock)
-      val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs, 2, bits))
-      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits))
-      val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
-      (n, bmtree.totalNanos, wcNanos + lbmc.totalNanos, wcNanos + quiltsNanos)
+      val nanos = competitors(data, learnQs, bits).map(c => c.name -> c.learnNanos).toMap
+      (n, nanos("BMTree"), nanos("LBMC"), nanos("QUILTS"))
     }
     Figure(rows, TableFmt.render("Table 7: SFC learning time (seconds) vs N (OSM-like)",
       Seq("N", "BMTree (s)", "LBMC (s)", "QUILTS (s)"),

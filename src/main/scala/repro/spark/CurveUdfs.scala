@@ -16,11 +16,11 @@ object CurveUdfs {
     udf((x: Long, y: Long) => curve.value(Array(x, y)))
   }
 
-  /** Append a curve-value column computed from `xq`/`yq` cell columns. */
-  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve,
-                     xq: String = "xq", yq: String = "yq",
-                     out: String = "sfc"): DataFrame =
-    df.withColumn(out, curveValue2d(curve)(df(xq), df(yq)))
+  /** Append the curve-value column `sfc` computed from the `xq`/`yq` cell
+    * columns.
+    */
+  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve): DataFrame =
+    df.withColumn("sfc", curveValue2d(curve)(df("xq"), df("yq")))
 
   /** Register `name(xq, yq)` as a SQL function computing the curve value,
     * so Spark SQL statements (e.g. `ORDER BY sfc_value(xq, yq)` or a

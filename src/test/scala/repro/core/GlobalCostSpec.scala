@@ -98,6 +98,12 @@ class GlobalCostSpec extends SparkSpec {
       GlobalCost.Estimator(Seq(Rect(Array(0L), Array(1L))), 2, 3))
   }
 
+  test("estimator rejects queries outside the grid") {
+    // x = 20 needs 5 bits; at l=4 only its low bits would be read.
+    intercept[IllegalArgumentException](GlobalCost.Estimator(Seq(Rect.of2d(0, 20, 0, 3)), 2, 4))
+    intercept[IllegalArgumentException](GlobalCost.Estimator(Seq(Rect.of2d(-1, 3, 0, 3)), 2, 4))
+  }
+
   test("non-uniform bits per dimension: closed form equals naive") {
     val bitsPerDim = Array(4, 2)
     val rng = new Random(17)

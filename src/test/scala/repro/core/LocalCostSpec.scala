@@ -206,6 +206,25 @@ class LocalCostSpec extends SparkSpec {
     intercept[IllegalArgumentException](LocalCost.PatternTables(Seq.empty, 2, 3))
   }
 
+  test("tables reject queries outside the grid") {
+    // x = 20 needs 5 bits; at l=4 only its low bits would be read.
+    intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(Rect.of2d(0, 20, 0, 3)), 2, 4))
+    intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(Rect.of2d(-1, 3, 0, 3)), 2, 4))
+  }
+
+  private val fullGrid3d20 = Rect(Array.fill(3)(0L), Array.fill(3)((1L << 20) - 1))
+
+  test("8 full-grid queries at d=3, l=20 cost exactly 8 (largest table cell 2^62)") {
+    val tables = LocalCost.PatternTables(Seq.fill(8)(fullGrid3d20), 3, 20)
+    assert(tables.cost(BMC.zOrder(3, 20)) == BigInt(8))
+  }
+
+  test("16 full-grid queries at d=3, l=20 overflow Long sums and are rejected") {
+    val e = intercept[IllegalArgumentException](
+      LocalCost.PatternTables(Seq.fill(16)(fullGrid3d20), 3, 20).cost(BMC.zOrder(3, 20)))
+    assert(e.getMessage.contains((BigInt(16) << 60).toString), e.getMessage)
+  }
+
   test("non-uniform bits per dimension: tables equal per-query counting") {
     val bitsPerDim = Array(3, 1)
     val rng = new Random(15)

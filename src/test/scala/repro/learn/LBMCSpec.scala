@@ -106,6 +106,41 @@ class LBMCSpec extends SparkSpec {
       0.588490182802979, 0.5247122545700744, 0.588490182802979, 0.5247122545700744))
   }
 
+  test("a run through a target sync and the whole exploit schedule is pinned") {
+    // 80 steps with a 4-transition minibatch: the DQN trains from step 4,
+    // the target network syncs at step 50, and ε runs from its first to
+    // its last value. Each of these one-constant changes alters the trace:
+    // γ 0.9 → 0.8 or 0.91, hidden width 64 → 32 or 65, learning rate ×1.1
+    // or ×2, first ε 0.5 → 0.4, last ε 0.95 → 0.9 or 0.96, sync period
+    // 50 → 49, 51 or never.
+    val wc = workload(11, 4)
+    val res = new LBMC(wc, LBMCConfig(episodes = 4, steps = 20, batch = 4, seed = 17))
+      .learn(BMC.zOrder(2, 4))
+    assert(res.best == BMC.fromString("XYYXXYXY"))
+    assert(res.bestCost == BigInt(249392))
+    assert(res.costTrace == Vector(
+      1.0469521244434672, 1.0, 0.7088440609025449, 0.7500247347881053,
+      1.0469521244434672, 1.2108833067663387, 0.6712801626999395, 0.6331775957785961,
+      0.5908866047380861, 0.6331775957785961, 0.5908866047380861, 0.5268509866432144,
+      0.9776067718353213, 0.9634364865607651, 1.0768977079096356, 0.9634364865607651,
+      0.9776067718353213, 0.9634364865607651, 0.9776067718353213, 1.0921893035782992,
+      0.9331116363436487, 0.919408563733304, 0.6339801022371242, 0.6447864563293575,
+      0.6339801022371242, 0.6447864563293575, 0.6339801022371242, 0.6447864563293575,
+      0.349804870004947, 0.6447864563293575, 0.349804870004947, 0.6447864563293575,
+      0.349804870004947, 0.6447864563293575, 0.349804870004947, 0.6447864563293575,
+      0.6339801022371242, 0.6447864563293575, 0.349804870004947, 0.5046226570659045,
+      0.9856813059968119, 1.0, 0.7088440609025449, 0.38761061946902653,
+      0.342703237508932, 0.38761061946902653, 0.342703237508932, 0.38761061946902653,
+      0.342703237508932, 0.38761061946902653, 0.342703237508932, 0.4997251690210521,
+      0.5452591656131479, 0.4997251690210521, 0.5452591656131479, 0.4997251690210521,
+      0.5452591656131479, 0.4997251690210521, 0.9180673885560381, 0.9633705271258176,
+      0.9856813059968119, 1.0, 0.9180673885560381, 0.9633705271258176,
+      0.667069752102457, 0.6275380640905843, 0.667069752102457, 0.6275380640905843,
+      0.667069752102457, 0.6275380640905843, 0.342703237508932, 0.6275380640905843,
+      0.342703237508932, 0.38761061946902653, 0.342703237508932, 0.38761061946902653,
+      0.342703237508932, 0.38761061946902653, 0.342703237508932, 0.38761061946902653))
+  }
+
   test("a mismatched initial BMC is rejected") {
     val wc = workload(9, 3)
     intercept[IllegalArgumentException](new LBMC(wc).learn(BMC.zOrder(2, 4)))
