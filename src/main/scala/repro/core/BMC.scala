@@ -22,10 +22,11 @@ trait SpaceFillingCurve extends Serializable {
 /** A bit-merging curve (BMC), Section 3.1 of the paper.
   *
   * `dims(r)` is the dimension that owns the bit at rank `r` of the merged
-  * value, with rank 0 the least-significant bit. Within each dimension the
-  * bit order is preserved: the j-th occurrence of dimension `i` (counting
-  * from rank 0) carries bit j of `x_i` (Eq. 1–2). BMCs generalize the
-  * Z-order curve and the lexicographic (C-) curve.
+  * value, with rank 0 the least-significant bit; the paper's γ is this
+  * rank. Within each dimension the bit order is preserved: the j-th
+  * occurrence of dimension `i` (counting from rank 0) carries bit j of
+  * `x_i` (Eq. 1–2). BMCs generalize the Z-order curve and the
+  * lexicographic (C-) curve.
   *
   * Dimensions may own different numbers of bits; the uniform case
   * (`ℓ` bits each) is what the paper's experiments use, while the
@@ -53,33 +54,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
       val dim = dims(r)
       out(r) = seen(dim)
       seen(dim) += 1
-      r += 1
-    }
-    out
-  }
-
-  /** `ranks(i)(j)` = γ_i^(j+1): the rank of bit j of dimension i in σ. */
-  val ranks: Array[Array[Int]] = {
-    val out = Array.tabulate(d)(i => new Array[Int](bitsPerDim(i)))
-    var r = 0
-    while (r < length) {
-      out(dims(r))(bitOfDim(r)) = r
-      r += 1
-    }
-    out
-  }
-
-  /** `countBelow(r)(m)`: number of dimension-m bits at ranks strictly
-    * below `r`. Used to find, for a rise bit, how many bits each other
-    * dimension must drop (Section 4.2.1).
-    */
-  val countBelow: Array[Array[Int]] = {
-    val out = Array.ofDim[Int](length + 1, d)
-    var r = 0
-    while (r < length) {
-      var m = 0
-      while (m < d) { out(r + 1)(m) = out(r)(m); m += 1 }
-      out(r + 1)(dims(r)) += 1
       r += 1
     }
     out

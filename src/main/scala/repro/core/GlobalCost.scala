@@ -16,16 +16,13 @@ object GlobalCost {
     var total = BigInt(0)
     for (q <- queries) {
       var span = BigInt(0)
-      var j = 0
-      while (j < bmc.d) {
-        var k = 0
-        val lj = bmc.bitsPerDim(j)
-        while (k < lj) {
-          val diff = ((q.hi(j) >>> k) & 1L) - ((q.lo(j) >>> k) & 1L)
-          if (diff != 0) span += BigInt(diff) << bmc.ranks(j)(k)
-          k += 1
-        }
-        j += 1
+      var r = 0
+      while (r < bmc.length) {
+        val j = bmc.dims(r)
+        val k = bmc.bitOfDim(r)
+        val diff = ((q.hi(j) >>> k) & 1L) - ((q.lo(j) >>> k) & 1L)
+        if (diff != 0) span += BigInt(diff) << r
+        r += 1
       }
       total += span + 1
     }
@@ -39,11 +36,13 @@ object GlobalCost {
     * [[cost]] then evaluates any BMC in `O(d·ℓ)` time.
     *
     * @param queries     the workload Q
-    * @param d           dimensionality
     * @param bitsPerDim  ℓ_j for each dimension (uniform ℓ in the paper)
     */
-  final class Estimator(queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
+  final class Estimator(queries: Seq[Rect], val bitsPerDim: Array[Int]) {
     require(queries.nonEmpty, "empty workload")
+
+    /** Dimensionality, one per entry of `bitsPerDim`. */
+    val d: Int = bitsPerDim.length
 
     /** Number of queries n (the `+ n` term of Eq. 6). */
     val n: Int = queries.size
@@ -66,20 +65,18 @@ object GlobalCost {
       a
     }
 
-    /** Total global cost of the workload under `bmc` — `O(d·ℓ)` = O(1). */
+    /** Total global cost of the workload under `bmc` — one pass over σ's
+      * bits, `O(d·ℓ)` = O(1): the bit at rank γ adds `A_j^k · 2^γ`.
+      */
     def cost(bmc: BMC): BigInt = {
       require(bmc.d == d && java.util.Arrays.equals(bmc.bitsPerDim, bitsPerDim),
         "BMC shape does not match the estimator's (d, ℓ)")
       var total = BigInt(n)
-      var j = 0
-      while (j < d) {
-        var k = 0
-        while (k < bitsPerDim(j)) {
-          val a = A(j)(k)
-          if (a != 0) total += BigInt(a) << bmc.ranks(j)(k)
-          k += 1
-        }
-        j += 1
+      var r = 0
+      while (r < bmc.length) {
+        val a = A(bmc.dims(r))(bmc.bitOfDim(r))
+        if (a != 0) total += BigInt(a) << r
+        r += 1
       }
       total
     }
@@ -88,6 +85,6 @@ object GlobalCost {
   object Estimator {
     /** Uniform-ℓ convenience constructor. */
     def apply(queries: Seq[Rect], d: Int, bits: Int): Estimator =
-      new Estimator(queries, d, Array.fill(d)(bits))
+      new Estimator(queries, Array.fill(d)(bits))
   }
 }

@@ -45,28 +45,30 @@ object LocalCost {
 
   /** E_σ(q) via per-query pattern counting (Eq. 9), without tables.
     * `O(d·ℓ·(d−1))` per query per BMC — the reference the tables amortize.
+    *
+    * One pass over σ from rank 0 up; `cnt(m)` counts the dimension-m bits
+    * passed. The bit at rank r, of dimension b, is a rise of order
+    * `cnt(b)+1`, paired with drops of order `cnt(m)` in every other m.
     */
   def edgesViaPatterns(q: Rect, bmc: BMC): Long = {
     require(q.d == bmc.d, "query/BMC dimensionality mismatch")
+    val cnt = new Array[Int](bmc.d)
     var e = 0L
-    var b = 0
-    while (b < bmc.d) {
-      var i = 1
-      while (i <= bmc.bitsPerDim(b)) {
-        val rises = riseCount(q.lo(b), q.hi(b), i)
-        if (rises != 0) {
-          val gamma = bmc.ranks(b)(i - 1)
-          var prod = 1L
-          var m = 0
-          while (m < bmc.d && prod != 0) {
-            if (m != b) prod *= dropCount(q.lo(m), q.hi(m), bmc.countBelow(gamma)(m))
-            m += 1
-          }
-          e += rises * prod
+    var r = 0
+    while (r < bmc.length) {
+      val b = bmc.dims(r)
+      val rises = riseCount(q.lo(b), q.hi(b), cnt(b) + 1)
+      if (rises != 0) {
+        var prod = 1L
+        var m = 0
+        while (m < bmc.d && prod != 0) {
+          if (m != b) prod *= dropCount(q.lo(m), q.hi(m), cnt(m))
+          m += 1
         }
-        i += 1
+        e += rises * prod
       }
-      b += 1
+      cnt(b) += 1
+      r += 1
     }
     e
   }
@@ -110,23 +112,25 @@ object LocalCost {
     * O(n)-scan initialization (ILC); [[edges]]/[[cost]] evaluate any BMC
     * with `d·ℓ` lookups.
     */
-  final class PatternTables(queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
+  final class PatternTables(queries: Seq[Rect], val bitsPerDim: Array[Int]) {
     require(queries.nonEmpty, "empty workload")
+
+    /** Dimensionality, one per entry of `bitsPerDim`. */
+    val d: Int = bitsPerDim.length
 
     /** Dimensions other than b, in ascending order (column radix order). */
     private val others: Array[Array[Int]] =
       Array.tabulate(d)(b => (0 until d).filter(_ != b).toArray)
 
-    /** Mixed-radix stride of each other-dimension in Table^b's columns. */
-    private val strides: Array[Array[Long]] = Array.tabulate(d) { b =>
-      val o = others(b)
-      val s = new Array[Long](o.length)
-      var acc = 1L
-      var i = 0
-      while (i < o.length) {
-        s(i) = acc
-        acc *= bitsPerDim(o(i)) + 1
-        i += 1
+    /** `strides(b)(m)`: mixed-radix stride of dimension m's drop order in
+      * Table^b's columns; 0 for m = b, which has no drop order there.
+      */
+    private val strides: Array[Array[Int]] = Array.tabulate(d) { b =>
+      val s = new Array[Int](d)
+      var acc = 1
+      for (m <- others(b)) {
+        s(m) = acc
+        acc *= bitsPerDim(m) + 1
       }
       s
     }
@@ -216,28 +220,28 @@ object LocalCost {
       }
     }
 
-    /** Σ_q E_σ(q) in `O(d·ℓ)` lookups (Algorithm 2's loop + get_col). */
+    /** Σ_q E_σ(q) in `O(d·ℓ)` lookups (Algorithm 2's loop + get_col).
+      *
+      * One pass over σ from rank 0 up, as in [[edgesViaPatterns]]: the bit
+      * at rank r, of dimension b, reads Table^b's row `bitOfDim(r)` at
+      * column `col(b) = Σ_{m≠b} cnt(m)·strides(b)(m)`; each bit passed moves
+      * every table's column along by its dimension's stride.
+      */
     def edges(bmc: BMC): Long = {
       require(bmc.d == d && java.util.Arrays.equals(bmc.bitsPerDim, bitsPerDim),
         "BMC shape does not match the tables' (d, ℓ)")
+      val col = new Array[Int](d)
       var e = 0L
-      var b = 0
-      try while (b < d) {
-        val o = others(b)
-        val st = strides(b)
-        var i = 1
-        while (i <= bitsPerDim(b)) {
-          val gamma = bmc.ranks(b)(i - 1)
-          var col = 0L
-          var m = 0
-          while (m < o.length) {
-            col += bmc.countBelow(gamma)(o(m)) * st(m)
-            m += 1
-          }
-          e = Math.addExact(e, tables(b)(i - 1)(col.toInt))
-          i += 1
+      var r = 0
+      try while (r < bmc.length) {
+        val b = bmc.dims(r)
+        e = Math.addExact(e, tables(b)(bmc.bitOfDim(r))(col(b)))
+        var m = 0
+        while (m < d) {
+          col(m) += strides(m)(b)
+          m += 1
         }
-        b += 1
+        r += 1
       } catch { case ex: ArithmeticException => throw overflow(ex) }
       e
     }
@@ -249,6 +253,6 @@ object LocalCost {
   object PatternTables {
     /** Uniform-ℓ convenience constructor. */
     def apply(queries: Seq[Rect], d: Int, bits: Int): PatternTables =
-      new PatternTables(queries, d, Array.fill(d)(bits))
+      new PatternTables(queries, Array.fill(d)(bits))
   }
 }

@@ -6,12 +6,15 @@ package repro.core
   * evaluates any candidate BMC in O(d·ℓ) = O(1) time — this is the reward
   * function used by LBMC, QUILTS, and the BMTree-GC/LC variants.
   */
-final class WorkloadCost(val queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
+final class WorkloadCost(val queries: Seq[Rect], val bitsPerDim: Array[Int]) {
+  /** Dimensionality, one per entry of `bitsPerDim`. */
+  val d: Int = bitsPerDim.length
+
   /** Closed-form global cost estimator (Eq. 6). */
-  val global = new GlobalCost.Estimator(queries, d, bitsPerDim)
+  val global = new GlobalCost.Estimator(queries, bitsPerDim)
 
   /** Pattern tables for the local cost (Algorithms 1–2). */
-  val local = new LocalCost.PatternTables(queries, d, bitsPerDim)
+  val local = new LocalCost.PatternTables(queries, bitsPerDim)
 
   /** Combined cost of the workload under `bmc`. */
   def cost(bmc: BMC): BigInt = global.cost(bmc) * local.cost(bmc)
@@ -25,5 +28,5 @@ final class WorkloadCost(val queries: Seq[Rect], val d: Int, val bitsPerDim: Arr
 object WorkloadCost {
   /** Uniform-ℓ convenience constructor. */
   def apply(queries: Seq[Rect], d: Int, bits: Int): WorkloadCost =
-    new WorkloadCost(queries, d, Array.fill(d)(bits))
+    new WorkloadCost(queries, Array.fill(d)(bits))
 }

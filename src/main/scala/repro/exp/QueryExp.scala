@@ -136,6 +136,8 @@ object QueryExp {
   def learningTime(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Figure[Seq[(Int, Long, Long, Long)]] = {
     val bits = DefaultBits
     val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3)
+    // One untimed run first, so the first row does not carry JIT compilation.
+    competitors(SpatialGen.quantizeAll(SpatialGen.points("OSM", 5_000, 2), bits), learnQs, bits)
     val rows = ns.map { n =>
       val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
       val nanos = competitors(data, learnQs, bits).map(c => c.name -> c.learnNanos).toMap

@@ -50,7 +50,7 @@ object BMTree {
   object GCReward extends Reward {
     override def name: String = "GC"
     override def forNode(ctx: NodeCtx): BMC => Double = {
-      val est = new GlobalCost.Estimator(ctx.queries, ctx.remBits.length, ctx.remBits)
+      val est = new GlobalCost.Estimator(ctx.queries, ctx.remBits)
       sigma => est.cost(sigma).doubleValue
     }
   }
@@ -59,7 +59,7 @@ object BMTree {
   object LCReward extends Reward {
     override def name: String = "LC"
     override def forNode(ctx: NodeCtx): BMC => Double = {
-      val tables = new LocalCost.PatternTables(ctx.queries, ctx.remBits.length, ctx.remBits)
+      val tables = new LocalCost.PatternTables(ctx.queries, ctx.remBits)
       sigma => tables.cost(sigma).doubleValue
     }
   }

@@ -21,12 +21,4 @@ object CurveUdfs {
     */
   def withCurveValue(df: DataFrame, curve: SpaceFillingCurve): DataFrame =
     df.withColumn("sfc", curveValue2d(curve)(df("xq"), df("yq")))
-
-  /** Register `name(xq, yq)` as a SQL function computing the curve value,
-    * so Spark SQL statements (e.g. `ORDER BY sfc_value(xq, yq)` or a
-    * `CREATE TABLE ... AS SELECT`) can use the chosen curve directly.
-    */
-  def registerSql(spark: org.apache.spark.sql.SparkSession,
-                  name: String, curve: SpaceFillingCurve): Unit =
-    spark.udf.register(name, curveValue2d(curve))
 }

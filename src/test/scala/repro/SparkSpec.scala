@@ -7,9 +7,9 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so joins exercise the shuffle
-  * path.
+  * SPARK_DRIVER_MEM (ROADMAP.md's test command exports half of
+  * MemTotal, clamped to 2–8 GB; unset, the heap is 4 GB). Broadcast joins
+  * are disabled so joins exercise the shuffle path.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -112,7 +112,7 @@ class GlobalCostSpec extends SparkSpec {
       val y0 = rng.nextInt(3).toLong; val y1 = y0 + rng.nextInt(4 - y0.toInt)
       Rect.of2d(x0, x1, y0, y1)
     }
-    val est = new GlobalCost.Estimator(qs, 2, bitsPerDim)
+    val est = new GlobalCost.Estimator(qs, bitsPerDim)
     for (_ <- 1 to 20) {
       val dims = new scala.util.Random(rng).shuffle(Seq(0, 0, 0, 0, 1, 1))
       val bmc = BMC(dims, 2)

@@ -233,7 +233,7 @@ class LocalCostSpec extends SparkSpec {
       val y0 = rng.nextInt(2).toLong; val y1 = y0 + rng.nextInt(2 - y0.toInt)
       Rect.of2d(x0, x1, y0, y1)
     }
-    val tables = new LocalCost.PatternTables(qs, 2, bitsPerDim)
+    val tables = new LocalCost.PatternTables(qs, bitsPerDim)
     val curves = Seq(BMC(Seq(0, 0, 0, 1), 2), BMC(Seq(1, 0, 0, 0), 2),
                      BMC(Seq(0, 1, 0, 0), 2), BMC(Seq(0, 0, 1, 0), 2))
     for (bmc <- curves) {

@@ -57,6 +57,28 @@ class WorkloadCostSpec extends SparkSpec {
       s"model chose ${chosen._1} ranked $rank by measurement")
   }
 
+  test("every σ of bit budgets (3,1), (2,2,1), (2,0,2): GC equals NGC, tables equal per-query and exhaustive edges") {
+    // Non-uniform budgets, one with a dimension that owns no bits, as
+    // BMTree sub-spaces produce them.
+    val rng = new Random(23)
+    for ((bitsPerDim, curves) <- Seq(Array(3, 1) -> 4, Array(2, 2, 1) -> 30, Array(2, 0, 2) -> 6)) {
+      val d = bitsPerDim.length
+      val qs = Seq.fill(12) {
+        val ends = bitsPerDim.map(l => Seq.fill(2)(rng.nextInt(1 << l).toLong).sorted)
+        Rect(ends.map(_.head), ends.map(_.last))
+      }
+      val est = new GlobalCost.Estimator(qs, bitsPerDim)
+      val tables = new LocalCost.PatternTables(qs, bitsPerDim)
+      val all = bitsPerDim.indices.flatMap(j => Seq.fill(bitsPerDim(j))(j)).permutations.map(BMC(_, d)).toSeq
+      assert(all.size == curves)
+      for (bmc <- all) {
+        assert(est.cost(bmc) == GlobalCost.naive(qs, bmc), bmc.toString)
+        assert(tables.edges(bmc) == qs.map(LocalCost.edgesViaPatterns(_, bmc)).sum, bmc.toString)
+        assert(tables.edges(bmc) == qs.map(TestRefs.exactEdges(_, bmc)).sum, bmc.toString)
+      }
+    }
+  }
+
   test("cost model is positive for any workload and curve") {
     val qs = Workloads.randomRects(3, 6, 4, 3, 9).toSeq
     val wc = WorkloadCost(qs, 3, 3)

@@ -4,35 +4,10 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
 
-/** The curve as a registered Spark SQL function + more oracle checks. */
+/** More DuckDB-oracle checks: range counts, grouping, and a curve-value join. */
 class SqlCurveSpec extends SparkSpec {
 
   private val bits = 8
-
-  test("registered SQL function computes curve values") {
-    val curve = BMC.zOrder(2, bits)
-    CurveUdfs.registerSql(spark, "sfc_value", curve)
-    val df = SpatialData.dataset(spark, "UNI", 1000, 21, bits)
-    df.createOrReplaceTempView("pts_sql")
-    val rows = spark.sql("SELECT xq, yq, sfc_value(xq, yq) AS sfc FROM pts_sql").collect()
-    rows.foreach { r =>
-      assert(r.getLong(2) == curve.value(Array(r.getLong(0), r.getLong(1))))
-    }
-  }
-
-  test("SQL ORDER BY the curve function equals DataFrame orderBy the UDF") {
-    val curve = new Hilbert(2, bits)
-    CurveUdfs.registerSql(spark, "hc_value", curve)
-    val df = SpatialData.dataset(spark, "OSM", 2000, 22, bits)
-    df.createOrReplaceTempView("pts_sql2")
-    val viaSql = spark.sql(
-      "SELECT xq, yq FROM pts_sql2 ORDER BY hc_value(xq, yq), xq, yq")
-      .collect().map(r => (r.getLong(0), r.getLong(1)))
-    val viaDf = CurveUdfs.withCurveValue(df, curve)
-      .orderBy(col("sfc"), col("xq"), col("yq"))
-      .select("xq", "yq").collect().map(r => (r.getLong(0), r.getLong(1)))
-    assert(viaSql.toSeq == viaDf.toSeq)
-  }
 
   test("oracle: distinct cell count over a range equals SQL") {
     val df = SpatialData.dataset(spark, "NYC", 4000, 23, bits).select("xq", "yq")
